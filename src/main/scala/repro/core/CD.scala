@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit}
 import repro.core.IndepTest.Tester
 import scala.util.Random
 
@@ -81,12 +82,17 @@ object CD {
   def highEntropyAttributes(df: DataFrame, attrs: Seq[String], seed: Long = 7,
                             gapThreshold: Double = 0.25): Set[String] = {
     val n = df.count()
-    if (n < 200) return Set.empty
-    val small = df.sample(withReplacement = false, math.min(1.0, 200.0 / n), seed)
-    val large = df.sample(withReplacement = false, math.min(1.0, 2000.0 / n), seed + 1)
+    if (n < 200 || attrs.isEmpty) return Set.empty
+    // both samples in one aggregation, told apart by a tag column
+    def sample(size: Double, s: Long, tag: String) =
+      df.sample(withReplacement = false, math.min(1.0, size / n), s)
+        .select(lit(tag).as("__sample") +: attrs.distinct.map(col): _*)
+    val both = Contingency.fromDf(sample(200, seed, "small").union(sample(2000, seed + 1, "large")),
+                                  "__sample" +: attrs.distinct)
+    val (small, large) = (both.restrict("__sample", "small"), both.restrict("__sample", "large"))
     attrs.filter { a =>
-      val hs = Entropy.millerMadow(Contingency.fromDf(small, Seq(a)))
-      val hl = Entropy.millerMadow(Contingency.fromDf(large, Seq(a)))
+      val hs = Entropy.millerMadow(small, Seq(a))
+      val hl = Entropy.millerMadow(large, Seq(a))
       hl - hs > gapThreshold * math.max(1.0, hs)
     }.toSet
   }

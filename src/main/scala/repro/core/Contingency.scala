@@ -73,6 +73,18 @@ final case class ContingencyTable(attrs: Vector[String], counts: Map[Vector[Stri
       }
   }
 
+  /** Collapse the attributes `v` into one compound attribute `name`, next
+    * to the kept attributes `keep`, so the 2-variable tests apply with a
+    * set of attributes on one side (Def. 3.1). A compound value joins the
+    * values of `v`, in `v`'s order, with "|".
+    */
+  def compound(keep: Seq[String], v: Seq[String], name: String): ContingencyTable = {
+    val (ik, iv) = (keep.map(indexOf).toVector, v.map(indexOf))
+    ContingencyTable(keep.toVector :+ name,
+      counts.groupBy { case (k, _) => ik.map(k) :+ iv.map(k).mkString("|") }
+        .map { case (k, g) => k -> g.values.sum })
+  }
+
   /** Dense 2-way matrix for attributes (x, y): counts plus domains. */
   def matrix(x: String, y: String): (Vector[String], Vector[String], Array[Array[Long]]) = {
     val t  = marginal(Seq(x, y))

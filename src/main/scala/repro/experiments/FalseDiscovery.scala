@@ -13,7 +13,8 @@ import scala.util.Random
   *
   * All queries share ONE materialized contingency table; each random
   * WHERE is a driver-side restriction, and the rewrite is evaluated with
-  * [[Rewrite.totalOnTable]] (tested equivalent to the DataFrame rewrite).
+  * [[Rewrite.totalOnTable]], the same Listing-2 kernel the DataFrame
+  * rewrite runs.
   */
 object FalseDiscovery {
 
@@ -77,32 +78,18 @@ object FalseDiscovery {
           // significance of the adjusted difference: I(Y; T | Z) via the
           // compound covariate — HyMIT rule: χ² when the sample is large
           // enough relative to df, MIT with group sampling otherwise
-          val cmp = compoundZ(sub, "Carrier", "Delayed", covs)
+          val cmp = sub.compound(Seq("Carrier", "Delayed"), covs, "__Z")
           val dfree = cmp.marginal(Seq("__Z")).distinctCount.toLong
           val rwSig = (if (dfree <= cmp.n / 5)
               IndepTest.chi2OnTable(cmp, "Carrier", "Delayed", Seq("__Z"))
             else
               IndepTest.mitOnTable(cmp, "Carrier", "Delayed", Seq("__Z"),
-                m, rngT, groupFraction = frac(cmp))).pValue <= alpha
+                m, rngT, groupFraction = HypDB.groupFrac(cmp))).pValue <= alpha
           Some(Outcome(sql("AA") - sql("UA"), rw("AA") - rw("UA"), sqlSig, rwSig))
         }
       }
     }
     Result(outcomes)
-  }
-
-  private def frac(cmp: ContingencyTable): Double = {
-    val g = cmp.marginal(Seq("__Z")).distinctCount
-    if (g <= 32) 1.0 else math.min(1.0, 8.0 * math.log(g.toDouble) / g)
-  }
-
-  private def compoundZ(ct: ContingencyTable, t: String, y: String,
-                        zs: Seq[String]): ContingencyTable = {
-    val it = ct.attrs.indexOf(t); val iy = ct.attrs.indexOf(y)
-    val iz = zs.map(ct.attrs.indexOf)
-    ContingencyTable(Vector(t, y, "__Z"),
-      ct.counts.groupBy { case (k, _) => Vector(k(it), k(iy), iz.map(k).mkString("|")) }
-        .map { case (k, g) => k -> g.values.sum })
   }
 
   def format(r: Result): String = {

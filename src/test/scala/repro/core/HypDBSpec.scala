@@ -51,6 +51,16 @@ class HypDBSpec extends SparkSpec {
     cancerReport.fineGrained.values.foreach(ts => assert(ts.nonEmpty))
   }
 
+  test("cancer: the phase timings cover the analyze call") {
+    val df = Datasets.cancer(spark, rows = 12000, seed = 19).cache()
+    val t0 = System.nanoTime()
+    val r  = HypDB.analyze(df, "Lung_Cancer", "Car_Accident", Datasets.cancerAttrs, "0", cfg)
+    val wall = (System.nanoTime() - t0) / 1e9
+    assert(r.timings.keySet == Set("detection", "explanation", "resolution"))
+    assert(r.timings.values.sum >= 0.95 * wall, s"timings ${r.timings} vs wall $wall s")
+    df.unpersist()
+  }
+
   // ------------------------------------------------------------ Flight --
 
   private lazy val flightReport: HypDB.Report = {

@@ -155,6 +155,24 @@ class RewriteSpec extends SparkSpec {
     assert(math.abs(n1 - n2) < 0.03, s"n1=$n1 n2=$n2")
   }
 
+  test("NDE matches the Eq.-3 SQL on DuckDB") {
+    val rng = new Random(9)
+    val sampled = (1 to 4000).map { _ =>
+      val z = if (rng.nextDouble() < 0.4) "a" else "b"
+      val t = if (rng.nextDouble() < (if (z == "a") 0.7 else 0.3)) "t1" else "t0"
+      val m = if (rng.nextDouble() < (if (t == "t1") 0.7 else 0.3)) "hi" else "lo"
+      val p = 0.2 + (if (m == "hi") 0.3 else 0.0) + (if (z == "a") 0.2 else 0.0) +
+              (if (t == "t1") 0.1 else 0.0)
+      (t, z, m, if (rng.nextDouble() < p) 1 else 0)
+    }
+    // the (b, rare) cell lacks t1: it carries Pr(m | t0, z) mass but must be pruned
+    val df = (sampled ++ Seq(("t0", "b", "rare", 1), ("t0", "b", "rare", 0), ("t0", "b", "rare", 1)))
+      .toDF("T", "Z", "M", "Y")
+    val got = Rewrite.nde(df, "T", "t0", Seq("Z"), Seq("M"), Seq("Y"))
+    val sql = Rewrite.ndeSql("d", "T", "t0", Seq("Z"), Seq("M"), Seq("Y"), nTreatments = 2)
+    Oracle.assertEquivalent(got, sql, "d" -> df)
+  }
+
   test("NDE requires a mediator and a present baseline") {
     val df = Seq(("t0", "m", 1), ("t1", "m", 0)).toDF("T", "M", "Y")
     intercept[IllegalArgumentException] { Rewrite.nde(df, "T", "t0", Nil, Nil, Seq("Y")) }
